@@ -92,7 +92,7 @@ bench:
 # One iteration of every benchmark — a CI smoke test that the
 # benchmarks still compile and run, not a measurement.
 bench-smoke:
-	$(GO) test -bench=. -benchtime=1x -run '^$$' . ./internal/transport/ ./internal/accounting/
+	$(GO) test -bench=. -benchtime=1x -run '^$$' . ./internal/transport/ ./internal/accounting/ ./internal/ledger/
 
 # Regenerate BENCH_PR4.json (multiplexed-vs-serialized RPC throughput,
 # cold-vs-warm chain-cache authorize latency).
@@ -129,16 +129,20 @@ cover:
 	$(GO) tool cover -func=cover.out | tail -1
 
 # Each fuzzer runs for a short fixed budget (override with
-# FUZZTIME=5m make fuzz for a longer local session).
+# FUZZTIME=5m make fuzz for a longer local session). Every -fuzz regex
+# is anchored, so each line selects exactly the fuzzer it names: go test
+# fuzzes one target per run, and every target gets its own line.
 FUZZTIME ?= 30s
 
 fuzz:
-	$(GO) test -fuzz=FuzzUnmarshal -fuzztime=$(FUZZTIME) ./internal/restrict/
-	$(GO) test -fuzz=FuzzUnmarshalCertificate -fuzztime=$(FUZZTIME) ./internal/proxy/
-	$(GO) test -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/wire/
-	$(GO) test -fuzz=FuzzReadFrame -fuzztime=$(FUZZTIME) ./internal/wire/
-	$(GO) test -fuzz=FuzzVerifyFile -fuzztime=$(FUZZTIME) ./internal/audit/
-	$(GO) test -fuzz=FuzzReplayJournal -fuzztime=$(FUZZTIME) ./internal/ledger/
+	$(GO) test -fuzz='^FuzzUnmarshal$$' -fuzztime=$(FUZZTIME) ./internal/restrict/
+	$(GO) test -fuzz='^FuzzUnmarshalCertificate$$' -fuzztime=$(FUZZTIME) ./internal/proxy/
+	$(GO) test -fuzz='^FuzzUnmarshalPresentation$$' -fuzztime=$(FUZZTIME) ./internal/proxy/
+	$(GO) test -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME) ./internal/wire/
+	$(GO) test -fuzz='^FuzzReadFrame$$' -fuzztime=$(FUZZTIME) ./internal/wire/
+	$(GO) test -fuzz='^FuzzVerifyFile$$' -fuzztime=$(FUZZTIME) ./internal/audit/
+	$(GO) test -fuzz='^FuzzReplayJournal$$' -fuzztime=$(FUZZTIME) ./internal/ledger/
+	$(GO) test -fuzz='^FuzzPullResult$$' -fuzztime=$(FUZZTIME) ./internal/repl/
 
 clean:
 	rm -f cover.out test_output.txt bench_output.txt

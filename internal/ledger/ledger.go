@@ -48,6 +48,15 @@
 // fails the ledger closed: every subsequent Append is refused, because a
 // torn tail buried under a later successful append would read back as
 // mid-file corruption instead of a recoverable crash.
+//
+// Shipping cursor: ReadEntries serves WAL records to replication from
+// the live file. Its cost is O(batch), not O(WAL): an in-memory index
+// maps sequence numbers to frame offsets — one checkpoint per 4 KiB of
+// WAL plus the position where the previous read stopped — so a read
+// loads and checksums only the frames from the nearest checkpoint to
+// the end of the batch. Appends extend the index, recovery at Open
+// builds it, and WAL truncation clears it; its size is the WAL's
+// divided by the checkpoint stride.
 package ledger
 
 import (
@@ -210,6 +219,10 @@ type Ledger struct {
 
 	snapErr   error     // last background/explicit snapshot failure, nil after success
 	snapErrAt time.Time // when snapErr was recorded
+
+	// index locates the frames of the visible WAL (the file's complete
+	// frames, then buf) for the shipping cursor. Guarded by mu.
+	index walIndex
 
 	stop   chan struct{}
 	exited chan struct{}
@@ -377,9 +390,11 @@ func scanFrames(data []byte, fn func(seq uint64, payload []byte)) (int64, error)
 
 // scan walks the WAL frames in data, filling rec.Entries with records
 // past the snapshot and leaving l.size at the end of the last complete
-// frame and l.seq at the last sequence number seen.
+// frame, l.seq at the last sequence number seen, and the cursor index
+// built over the complete frames.
 func (l *Ledger) scan(data []byte, rec *Recovery) error {
 	size, err := scanFrames(data, func(seq uint64, payload []byte) {
+		l.index.add(seq, frameHeaderLen+8+len(payload))
 		if seq > l.seq {
 			l.seq = seq
 		}
@@ -539,6 +554,7 @@ func (l *Ledger) Append(payload []byte) (uint64, error) {
 	switch {
 	case l.mode == FsyncOff:
 		l.buf = appendFrame(l.buf, seq, payload)
+		l.index.add(seq, frameLen)
 	case l.mode == FsyncAlways && l.group:
 		if l.pending == nil && l.spare != nil {
 			l.pending, l.spare = l.spare[:0], nil
@@ -555,6 +571,7 @@ func (l *Ledger) Append(payload []byte) (uint64, error) {
 		_, err = l.f.Write(frame)
 		if err == nil {
 			l.size += int64(len(frame))
+			l.index.add(seq, len(frame))
 			if l.mode == FsyncAlways {
 				err = l.syncLocked()
 			} else {
@@ -661,6 +678,7 @@ func (l *Ledger) flushCohort(c *cohort) {
 		}
 	} else {
 		l.size += int64(len(batch))
+		l.index.addFrames(batch)
 		if cap(batch) > cap(l.spare) {
 			l.spare = batch[:0]
 		}
@@ -818,6 +836,7 @@ func (l *Ledger) truncateWALLocked() error {
 		return fmt.Errorf("ledger: %w", err)
 	}
 	l.size = 0
+	l.index.reset()
 	l.dirty = false
 	return nil
 }
@@ -1086,92 +1105,4 @@ func ScanOffsets(path string) ([]RecordPos, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// CursorResult is one ReadEntries read: the records found plus the
-// sequence horizons that were current when the read began, so a
-// shipper can compute lag and detect truncation races exactly once.
-type CursorResult struct {
-	// Entries are the records with sequence numbers in [from, from+max),
-	// in order; empty when the caller is at the tip.
-	Entries []Entry
-	// SnapSeq is the snapshot horizon: records at or below it may be
-	// truncated away at any time.
-	SnapSeq uint64
-	// LastSeq is the last record visible to this read — durable frames
-	// plus (in FsyncOff mode) buffered ones. Records still waiting on an
-	// in-flight commit cohort are excluded: a shipper must never ship a
-	// record whose Append has not yet succeeded.
-	LastSeq uint64
-}
-
-// ReadEntries is the shipping cursor: it returns up to max records with
-// sequence numbers >= from, reading the live WAL without racing
-// snapshot truncation (it holds the truncation guard shared, so
-// WriteSnapshot waits rather than rewriting the file mid-scan). When
-// from falls below the snapshot horizon and the records are gone,
-// ReadEntries returns ErrTruncated with the horizon in CursorResult —
-// the caller fetches a snapshot and resumes from SnapSeq+1.
-func (l *Ledger) ReadEntries(from uint64, max int) (CursorResult, error) {
-	if max <= 0 {
-		max = 1 << 10
-	}
-	l.truncMu.RLock()
-	defer l.truncMu.RUnlock()
-
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return CursorResult{}, ErrClosed
-	}
-	size := l.size
-	snapSeq := l.snapSeq
-	f := l.f
-	var buffered []byte
-	if len(l.buf) > 0 {
-		buffered = append([]byte(nil), l.buf...)
-	}
-	l.mu.Unlock()
-
-	// The file region [0, size) is immutable while we hold truncMu
-	// shared: appends only extend the file past size, and truncation
-	// waits on the guard. A group-commit leader may be writing past
-	// size right now — those frames belong to appends that have not
-	// returned yet and are deliberately not visible to this read.
-	data := make([]byte, size, size+int64(len(buffered)))
-	if size > 0 {
-		if _, err := io.ReadFull(io.NewSectionReader(f, 0, size), data); err != nil {
-			return CursorResult{}, fmt.Errorf("ledger: cursor read: %w", err)
-		}
-	}
-	data = append(data, buffered...)
-
-	res := CursorResult{SnapSeq: snapSeq, LastSeq: snapSeq}
-	firstSeen := uint64(0)
-	_, err := scanFrames(data, func(seq uint64, payload []byte) {
-		if firstSeen == 0 {
-			firstSeen = seq
-		}
-		if seq > res.LastSeq {
-			res.LastSeq = seq
-		}
-		if seq >= from && len(res.Entries) < max {
-			res.Entries = append(res.Entries, Entry{Seq: seq, Data: payload})
-		}
-	})
-	if err != nil {
-		return CursorResult{}, err
-	}
-	// Records below the requested point that are no longer on disk are
-	// unreachable by shipping; the caller must catch up via snapshot.
-	// (from == firstSeen or later is servable; from past the tip is an
-	// empty read, not an error.)
-	lowest := snapSeq + 1
-	if firstSeen != 0 && firstSeen < lowest {
-		lowest = firstSeen
-	}
-	if from < lowest {
-		return res, ErrTruncated
-	}
-	return res, nil
 }

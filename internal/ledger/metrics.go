@@ -26,6 +26,8 @@ var (
 		obs.DefLatencyBuckets)
 	mSnapshotBytes = obs.Default.NewGauge("proxykit_ledger_snapshot_bytes",
 		"Size of the last committed snapshot state, in bytes.")
+	mCursorReadBytes = obs.Default.NewCounter("proxykit_ledger_cursor_read_bytes_total",
+		"Bytes of WAL frames the shipping cursor (ReadEntries) read, file and FsyncOff buffer together.")
 
 	mGroupCommitBatches = obs.Default.NewCounter("proxykit_ledger_group_commit_batches_total",
 		"Commit cohorts flushed — one batch write + one fsync each — in FsyncAlways group-commit mode.")

@@ -129,27 +129,80 @@ func (n *Node) handlePull(ctx context.Context, body []byte) ([]byte, error) {
 		}
 	}
 
-	term := n.Term()
-	e := wire.GetEncoder(64)
-	defer e.Release()
-	e.Uint64(term)
-	e.Bool(needSnapshot)
-	e.Uint64(res.SnapSeq)
-	e.Uint64(res.LastSeq)
-	if needSnapshot {
-		e.Uint32(0)
-	} else {
-		e.Uint32(uint32(len(res.Entries)))
-		for _, ent := range res.Entries {
-			e.Uint64(ent.Seq)
-			e.Bytes32(ent.Data)
-		}
+	out := &PullResult{
+		Term:         n.Term(),
+		NeedSnapshot: needSnapshot,
+		SnapSeq:      res.SnapSeq,
+		LastSeq:      res.LastSeq,
+	}
+	if !needSnapshot {
+		out.Entries = res.Entries
 		if len(res.Entries) > 0 {
 			mShippedBatches.Inc()
 			mShippedRecords.Add(uint64(len(res.Entries)))
 		}
 	}
+	e := wire.GetEncoder(64)
+	defer e.Release()
+	encodePullResult(e, out)
 	return append([]byte(nil), e.Bytes()...), nil
+}
+
+// encodePullResult writes a repl.pull response. A snapshot redirect
+// carries no entries.
+func encodePullResult(e *wire.Encoder, r *PullResult) {
+	e.Uint64(r.Term)
+	e.Bool(r.NeedSnapshot)
+	e.Uint64(r.SnapSeq)
+	e.Uint64(r.LastSeq)
+	if r.NeedSnapshot {
+		e.Uint32(0)
+		return
+	}
+	e.Uint32(uint32(len(r.Entries)))
+	for _, ent := range r.Entries {
+		e.Uint64(ent.Seq)
+		e.Bytes32(ent.Data)
+	}
+}
+
+// pullEntryMinLen is the smallest encoding of one shipped entry: its
+// sequence number and an empty data field's length prefix.
+const pullEntryMinLen = 8 + 4
+
+// decodePullResult parses a repl.pull response, accepting exactly the
+// encodings encodePullResult produces. The response comes from the
+// network, so its entry count is not trusted for allocation: the
+// entries slice is sized by what the remaining bytes can hold.
+func decodePullResult(raw []byte) (*PullResult, error) {
+	d := wire.NewDecoder(raw)
+	res := &PullResult{}
+	res.Term = d.Uint64()
+	flag := d.Uint8()
+	res.SnapSeq = d.Uint64()
+	res.LastSeq = d.Uint64()
+	count := d.Uint32()
+	if d.Err() == nil {
+		switch {
+		case flag > 1:
+			return nil, fmt.Errorf("repl: pull response: need-snapshot flag %d", flag)
+		case flag == 1 && count != 0:
+			return nil, fmt.Errorf("repl: pull response: snapshot redirect carrying %d entries", count)
+		}
+	}
+	res.NeedSnapshot = flag == 1
+	if n := min(int(count), d.Remaining()/pullEntryMinLen); n > 0 {
+		res.Entries = make([]ledger.Entry, 0, n)
+	}
+	for i := uint32(0); i < count && d.Err() == nil; i++ {
+		seq := d.Uint64()
+		data := d.Bytes32()
+		res.Entries = append(res.Entries, ledger.Entry{Seq: seq, Data: data})
+	}
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("repl: pull response: %w", err)
+	}
+	return res, nil
 }
 
 func (n *Node) handleSnapshot(ctx context.Context, body []byte) ([]byte, error) {
@@ -236,22 +289,7 @@ func (c *Client) Pull(term, from uint64, max int, wait time.Duration) (*PullResu
 	if err != nil {
 		return nil, err
 	}
-	d := wire.NewDecoder(raw)
-	res := &PullResult{}
-	res.Term = d.Uint64()
-	res.NeedSnapshot = d.Bool()
-	res.SnapSeq = d.Uint64()
-	res.LastSeq = d.Uint64()
-	count := int(d.Uint32())
-	for i := 0; i < count && d.Err() == nil; i++ {
-		seq := d.Uint64()
-		data := d.Bytes32()
-		res.Entries = append(res.Entries, ledger.Entry{Seq: seq, Data: data})
-	}
-	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("repl: pull response: %w", err)
-	}
-	return res, nil
+	return decodePullResult(raw)
 }
 
 // Snapshot fetches a full state snapshot from the primary.
