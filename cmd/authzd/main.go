@@ -19,29 +19,14 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
-	"fmt"
-	"log/slog"
-	"net"
 	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
 	"proxykit/internal/acl"
-	"proxykit/internal/audit"
 	"proxykit/internal/authz"
-	"proxykit/internal/faultpoint"
-	"proxykit/internal/ledger"
-	"proxykit/internal/logging"
-	"proxykit/internal/obs"
+	"proxykit/internal/daemon"
 	"proxykit/internal/principal"
-	"proxykit/internal/proxy"
-	"proxykit/internal/repl"
-	"proxykit/internal/statefile"
 	"proxykit/internal/svc"
-	"proxykit/internal/transport"
 )
 
 // ruleJSON is the rules-file schema.
@@ -53,168 +38,52 @@ type ruleJSON struct {
 	Ops        []string `json:"ops"`
 }
 
-func main() {
-	if err := run(); err != nil {
-		slog.Error("authzd failed", "err", err)
-		os.Exit(1)
-	}
-}
+func main() { daemon.Main("authzd", run) }
 
 func run() error {
-	var (
-		state       = flag.String("state", "./state", "shared state directory")
-		name        = flag.String("name", "authz", "server principal name")
-		realm       = flag.String("realm", "EXAMPLE.ORG", "realm name")
-		listen      = flag.String("listen", "127.0.0.1:8090", "listen address")
-		rules       = flag.String("rules", "", "JSON rules file")
-		metricsAddr = flag.String("metrics-addr", "", "observability HTTP listen address serving /metrics, /healthz, /traces, /audit, and /debug/pprof (disabled when empty)")
-		auditFile   = flag.String("audit-file", "", "hash-chained audit journal path (JSONL, append-only); empty keeps the journal in memory only")
-		faultSpec   = flag.String("fault-spec", "", "server-side fault injection, e.g. 'authz.*:drop=0.1,delay=50ms@0.2' (chaos testing; see internal/faultpoint)")
-		faultSeed   = flag.Int64("fault-seed", 1, "PRNG seed for -fault-spec decisions")
-		rpcWorkers  = flag.Int("rpc-workers", 0, "bound on concurrently handled RPC requests (0 = default pool size)")
-		chainCache  = flag.Int("chain-cache", proxy.DefaultChainCacheSize, "verified-chain cache capacity; 0 disables caching")
-		ledgerDir   = flag.String("ledger-dir", "", "durable ledger directory (WAL + snapshots); empty keeps the rule database in memory only")
-		fsyncMode   = flag.String("fsync", "always", "WAL durability: always (fsync per append), interval (periodic fsync), off (buffered)")
-		groupCommit = flag.Bool("group-commit", true, "batch concurrent fsync=always appends into commit cohorts (one fsync per batch)")
-		snapEvery   = flag.Duration("snapshot-interval", time.Minute, "how often the ledger snapshots the database and truncates the WAL; 0 disables the background snapshotter")
-		replFlags   repl.Flags
-		logOpts     logging.Options
-		traceOpts   obs.TraceOptions
-	)
-	replFlags.Register(flag.CommandLine)
-	logOpts.RegisterFlags(flag.CommandLine)
-	traceOpts.RegisterFlags(flag.CommandLine)
-	flag.Parse()
-
-	logger, err := logOpts.Setup(nil)
-	if err != nil {
+	d := daemon.New(flag.CommandLine, daemon.Spec{Name: "authz", Listen: "127.0.0.1:8090", Faults: "authz.*"})
+	dur := d.Durable()
+	chainCache := d.ChainCache()
+	rules := flag.String("rules", "", "JSON rules file")
+	if err := d.Start(os.Args[1:]); err != nil {
 		return err
 	}
+	defer d.Close()
 
-	obsCleanup, err := traceOpts.Apply()
-	if err != nil {
-		return err
-	}
-	defer obsCleanup()
-
-	journal, err := audit.New(audit.Options{Path: *auditFile, Logger: logger})
-	if err != nil {
-		return err
-	}
-	defer journal.Close()
-
-	ident, err := statefile.LoadOrCreateIdentity(*state, principal.New(*name, *realm))
-	if err != nil {
-		return err
-	}
-	resolve := statefile.DynamicResolver(*state)
-	srv := authz.New(ident, nil)
-	if *ledgerDir != "" {
-		mode, err := ledger.ParseFsyncMode(*fsyncMode)
-		if err != nil {
-			return err
-		}
-		rec, err := srv.OpenLedger(ledger.Options{Dir: *ledgerDir, Fsync: mode, NoGroupCommit: !*groupCommit, Logger: logger})
-		if err != nil {
-			return err
-		}
-		defer srv.CloseLedger()
-		logger.Info("ledger open", "dir", *ledgerDir, "fsync", mode.String(),
-			"replayed", len(rec.Entries), "snapshotSeq", rec.SnapshotSeq, "tornTail", rec.TornTail)
-		if *snapEvery > 0 {
-			stopSnap := srv.StartSnapshotter(*snapEvery)
-			defer stopSnap()
-		}
-	}
-	srv.SetJournal(journal)
-
-	asvc := svc.NewAuthzService(srv, resolve, nil)
-	if *chainCache > 0 {
-		asvc.SetChainCache(proxy.NewChainCache(*chainCache))
-		logger.Info("verified-chain cache enabled", "capacity", *chainCache)
-	}
+	srv := authz.New(d.Identity, nil)
+	srv.SetJournal(d.Journal)
+	asvc := svc.NewAuthzService(srv, d.Resolve, nil)
+	asvc.SetChainCache(chainCache())
 	mux := asvc.Mux()
-	replNode, err := replFlags.Start(srv, *ledgerDir, mux, logger)
-	if err != nil {
+	if err := dur.Open(srv.Host, mux); err != nil {
 		return err
-	}
-	if replNode != nil {
-		defer replNode.Close()
-	}
-
-	if *metricsAddr != "" {
-		msrv, maddr, err := obs.ServeWith(*metricsAddr, obs.HandlerOpts{
-			Audit: journal,
-			Health: func() map[string]any {
-				h := journal.Health()
-				if lg := srv.Ledger(); lg != nil {
-					for k, v := range lg.Health() {
-						h[k] = v
-					}
-				}
-				if replNode != nil {
-					for k, v := range replNode.Health() {
-						h[k] = v
-					}
-				}
-				return h
-			},
-		})
-		if err != nil {
-			return err
-		}
-		defer msrv.Close()
-		logger.Info("metrics listening", "url", fmt.Sprintf("http://%s/metrics", maddr))
 	}
 
 	// Provision from the file only when the database came up empty — a
 	// ledger-recovered database already holds these rules, and AddRule
 	// appends, so reloading would duplicate every rule per restart. A
 	// standby's database comes from the primary's WAL.
-	if *rules != "" && len(srv.Rules()) == 0 && !replFlags.Standby {
+	if *rules != "" && len(srv.Rules()) == 0 && !dur.Standby {
 		n, err := loadRules(srv, *rules)
 		if err != nil {
 			return err
 		}
-		logger.Info("loaded rules", "count", n, "file", *rules)
+		d.Logger.Info("loaded rules", "count", n, "file", *rules)
 	}
-
-	l, err := net.Listen("tcp", *listen)
-	if err != nil {
-		return err
-	}
-	tcp := transport.NewTCPServerWorkers(l, mux, *rpcWorkers)
-	if *faultSpec != "" {
-		inj, err := faultpoint.Parse(*faultSpec, *faultSeed)
-		if err != nil {
-			return err
-		}
-		tcp.SetInjector(inj)
-		logger.Warn("fault injection active", "spec", *faultSpec, "seed", *faultSeed)
-	}
-	logger.Info("authorization server listening", "server", ident.ID.String(), "addr", tcp.Addr().String())
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	return tcp.Close()
+	return d.Serve(mux, "authorization server listening")
 }
 
 func loadRules(srv *authz.Server, path string) (int, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return 0, err
-	}
 	var rs []ruleJSON
-	if err := json.Unmarshal(raw, &rs); err != nil {
-		return 0, fmt.Errorf("parse %s: %w", path, err)
+	if err := daemon.LoadJSON(path, &rs); err != nil {
+		return 0, err
 	}
 	for _, r := range rs {
 		endServer, err := principal.Parse(r.EndServer)
 		if err != nil {
 			return 0, err
 		}
-		subject, err := parseSubject(r.Principals, r.Groups)
+		subject, err := acl.ParseSubject(r.Principals, r.Groups)
 		if err != nil {
 			return 0, err
 		}
@@ -226,25 +95,4 @@ func loadRules(srv *authz.Server, path string) (int, error) {
 		})
 	}
 	return len(rs), nil
-}
-
-func parseSubject(principals, groups []string) (acl.Subject, error) {
-	var sub acl.Subject
-	ids := make([]principal.ID, 0, len(principals))
-	for _, p := range principals {
-		id, err := principal.Parse(p)
-		if err != nil {
-			return sub, err
-		}
-		ids = append(ids, id)
-	}
-	sub.Principals = principal.NewCompound(ids...)
-	for _, g := range groups {
-		gl, err := principal.ParseGlobal(g)
-		if err != nil {
-			return sub, err
-		}
-		sub.Groups = append(sub.Groups, gl)
-	}
-	return sub, nil
 }

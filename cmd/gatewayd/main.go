@@ -22,44 +22,24 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"log/slog"
 	"net"
 	"net/http"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
-	"proxykit/internal/audit"
+	"proxykit/internal/daemon"
 	"proxykit/internal/faultpoint"
 	"proxykit/internal/gateway"
-	"proxykit/internal/obs"
 	"proxykit/internal/principal"
-	"proxykit/internal/statefile"
 	"proxykit/internal/transport"
 )
 
-func main() {
-	if err := run(); err != nil {
-		slog.Error("gatewayd failed", "err", err)
-		os.Exit(1)
-	}
-}
+func main() { daemon.Main("gatewayd", run) }
 
 func run() error {
 	var opts gateway.DaemonOptions
 	opts.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
-	logger, err := opts.Log.Setup(nil)
-	if err != nil {
-		return err
-	}
-	obsCleanup, err := opts.Trace.Apply()
-	if err != nil {
-		return err
-	}
-	defer obsCleanup()
 	if opts.Mapping == "" {
 		return fmt.Errorf("-mapping is required (see GATEWAY.md)")
 	}
@@ -76,28 +56,12 @@ func run() error {
 		return fmt.Errorf("-bank-id: %w", err)
 	}
 
-	journal, err := audit.New(audit.Options{Path: opts.AuditFile, Logger: logger})
+	d, err := daemon.Prologue(opts.Common)
 	if err != nil {
 		return err
 	}
-	defer journal.Close()
-
-	if opts.MetricsAddr != "" {
-		msrv, maddr, err := obs.ServeWith(opts.MetricsAddr, obs.HandlerOpts{
-			Audit:  journal,
-			Health: journal.Health,
-		})
-		if err != nil {
-			return err
-		}
-		defer msrv.Close()
-		logger.Info("metrics listening", "url", fmt.Sprintf("http://%s/metrics", maddr))
-	}
-
-	ident, err := statefile.LoadOrCreateIdentity(opts.State, principal.New(opts.Name, opts.Realm))
-	if err != nil {
-		return err
-	}
+	defer d.Close()
+	logger := d.Logger
 
 	var inj *faultpoint.Injector
 	if opts.FaultSpec != "" {
@@ -144,7 +108,7 @@ func run() error {
 
 	g, err := gateway.New(gateway.Options{
 		StateDir:      opts.State,
-		ID:            ident.ID,
+		ID:            d.Identity.ID,
 		Mapping:       mapping,
 		AuthzClient:   authzC,
 		GroupClient:   groupC,
@@ -155,7 +119,7 @@ func run() error {
 		ProxyLifetime: opts.ProxyLifetime,
 		RenewWithin:   opts.RenewWithin,
 		RenewInterval: opts.RenewInterval,
-		Journal:       journal,
+		Journal:       d.Journal,
 		Logger:        logger,
 	})
 	if err != nil {
@@ -176,12 +140,10 @@ func run() error {
 			logger.Error("http server failed", "err", err)
 		}
 	}()
-	logger.Info("gateway listening", "server", ident.ID.String(),
+	logger.Info("gateway listening", "server", d.Identity.ID.String(),
 		"addr", l.Addr().String(), "tokens", len(mapping.Tokens))
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
+	daemon.WaitForSignal()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	return srv.Shutdown(ctx)

@@ -18,77 +18,26 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
-	"log/slog"
-	"net"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 
-	"proxykit/internal/audit"
-	"proxykit/internal/faultpoint"
+	"proxykit/internal/daemon"
 	"proxykit/internal/kerberos"
-	"proxykit/internal/logging"
-	"proxykit/internal/obs"
 	"proxykit/internal/principal"
 	"proxykit/internal/svc"
-	"proxykit/internal/transport"
 )
 
-func main() {
-	if err := run(); err != nil {
-		slog.Error("kdc failed", "err", err)
-		os.Exit(1)
-	}
-}
+func main() { daemon.Main("kdc", run) }
 
 func run() error {
-	var (
-		realm       = flag.String("realm", "EXAMPLE.ORG", "realm name")
-		listen      = flag.String("listen", "127.0.0.1:8088", "listen address")
-		passwd      = flag.String("passwd", "", "password file: principal:password per line")
-		metricsAddr = flag.String("metrics-addr", "", "observability HTTP listen address serving /metrics, /healthz, /traces, /audit, and /debug/pprof (disabled when empty)")
-		auditFile   = flag.String("audit-file", "", "hash-chained audit journal path (JSONL, append-only); empty keeps the journal in memory only")
-		faultSpec   = flag.String("fault-spec", "", "server-side fault injection, e.g. 'krb.*:drop=0.1,delay=50ms@0.2' (chaos testing; see internal/faultpoint)")
-		faultSeed   = flag.Int64("fault-seed", 1, "PRNG seed for -fault-spec decisions")
-		rpcWorkers  = flag.Int("rpc-workers", 0, "bound on concurrently handled RPC requests (0 = default pool size)")
-		logOpts     logging.Options
-		traceOpts   obs.TraceOptions
-	)
-	logOpts.RegisterFlags(flag.CommandLine)
-	traceOpts.RegisterFlags(flag.CommandLine)
-	flag.Parse()
-
-	logger, err := logOpts.Setup(nil)
-	if err != nil {
+	d := daemon.New(flag.CommandLine, daemon.Spec{Listen: "127.0.0.1:8088", Faults: "krb.*"})
+	passwd := flag.String("passwd", "", "password file: principal:password per line")
+	if err := d.Start(os.Args[1:]); err != nil {
 		return err
 	}
+	defer d.Close()
 
-	obsCleanup, err := traceOpts.Apply()
-	if err != nil {
-		return err
-	}
-	defer obsCleanup()
-
-	journal, err := audit.New(audit.Options{Path: *auditFile, Logger: logger})
-	if err != nil {
-		return err
-	}
-	defer journal.Close()
-
-	if *metricsAddr != "" {
-		msrv, maddr, err := obs.ServeWith(*metricsAddr, obs.HandlerOpts{
-			Audit:  journal,
-			Health: journal.Health,
-		})
-		if err != nil {
-			return err
-		}
-		defer msrv.Close()
-		logger.Info("metrics listening", "url", fmt.Sprintf("http://%s/metrics", maddr))
-	}
-
-	kdc, err := kerberos.NewKDC(*realm, nil)
+	kdc, err := kerberos.NewKDC(d.Realm, nil)
 	if err != nil {
 		return err
 	}
@@ -97,29 +46,11 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		logger.Info("provisioned principals", "count", n, "file", *passwd)
+		d.Logger.Info("provisioned principals", "count", n, "file", *passwd)
 	}
-
-	l, err := net.Listen("tcp", *listen)
-	if err != nil {
-		return err
-	}
-	srv := transport.NewTCPServerWorkers(l, svc.NewKDCService(kdc).Mux(), *rpcWorkers)
-	if *faultSpec != "" {
-		inj, err := faultpoint.Parse(*faultSpec, *faultSeed)
-		if err != nil {
-			return err
-		}
-		srv.SetInjector(inj)
-		logger.Warn("fault injection active", "spec", *faultSpec, "seed", *faultSeed)
-	}
-	logger.Info("kdc listening", "realm", *realm, "addr", srv.Addr().String(), "tgs", kdc.TGS().String())
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	logger.Info("shutting down")
-	return srv.Close()
+	err = d.Serve(svc.NewKDCService(kdc).Mux(), "kdc listening", "realm", d.Realm, "tgs", kdc.TGS().String())
+	d.Logger.Info("shutting down")
+	return err
 }
 
 func loadPasswords(kdc *kerberos.KDC, path string) (int, error) {

@@ -29,9 +29,9 @@ import (
 	"proxykit/internal/acl"
 	"proxykit/internal/audit"
 	"proxykit/internal/clock"
+	"proxykit/internal/durable"
 	"proxykit/internal/faultpoint"
 	"proxykit/internal/kcrypto"
-	"proxykit/internal/ledger"
 	"proxykit/internal/obs"
 	"proxykit/internal/principal"
 	"proxykit/internal/proxy"
@@ -102,21 +102,24 @@ type Server struct {
 	stripes [lockStripes]sync.RWMutex
 
 	// cfgMu guards the mutable wiring below — peers, hops, journal,
-	// injectors, the ledger reference — and ForwardedChecks. It is a
-	// leaf lock: nothing else is acquired while holding it.
+	// injectors — and ForwardedChecks. It is a leaf lock: nothing else
+	// is acquired while holding it.
 	cfgMu    sync.Mutex
 	peers    map[principal.ID]*Server
 	nextHop  *Server
 	journal  *audit.Journal
 	hopRetry transport.RetryPolicy
 	hopInj   *faultpoint.Injector
-	ledger   *ledger.Ledger
-	gate     func() error // commit gate; non-nil refusal blocks all mutations
 
 	// ForwardedChecks counts checks this server endorsed onward to
 	// another bank (clearing traffic, for the experiments). Guarded by
 	// cfgMu; read directly only in sequential tests.
 	ForwardedChecks int
+
+	// Host is the bank's durability: ledger, commit gate, snapshots and
+	// the replication hooks. log is its commit path (persist.go).
+	*durable.Host
+	log durable.Log
 }
 
 // SetJournal attaches an audit journal; every balance-changing decision
@@ -160,6 +163,7 @@ func NewServer(identity *pubkey.Identity, resolve func(principal.ID) (kcrypto.Ve
 		Clock:           clk,
 		ResolveIdentity: resolve,
 	}
+	s.Host, s.log = durable.New("accounting", machine{s})
 	return s
 }
 

@@ -14,9 +14,9 @@ package accounting
 //
 // Commit invariant: every commitOp call site holds, in write mode, the
 // stripe of every account its op mutates. Whole-bank captures (Totals,
-// SnapshotState) hold all stripes, so no commit is mid-flight between
-// its WAL append and its in-memory apply while they look — the captured
-// state and ledger sequence number agree.
+// the durable machine's Capture) hold all stripes, so no commit is
+// mid-flight between its WAL append and its in-memory apply while they
+// look — the captured state and ledger sequence number agree.
 
 import (
 	"hash/fnv"

@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"proxykit/internal/acl"
-	"proxykit/internal/ledger"
 	"proxykit/internal/principal"
 	"proxykit/internal/replay"
 	"proxykit/internal/restrict"
@@ -109,32 +108,18 @@ func decodeOp(b []byte) (*op, error) {
 
 // commitOp durably records the op, then applies it. Callers hold, in
 // write mode, the stripe of every account the op mutates, and have
-// fully validated it; a failed append leaves the in-memory state
-// untouched (the mutation never happened). Under the ledger's group
-// commit, concurrent commitOp calls on disjoint stripes share one
+// fully validated it; a refused or failed commit leaves the in-memory
+// state untouched (the mutation never happened). Under the ledger's
+// group commit, concurrent commitOp calls on disjoint stripes share one
 // fsync.
 func (s *Server) commitOp(o *op) error {
-	if gate := s.gateRef(); gate != nil {
-		if err := gate(); err != nil {
-			return err
-		}
-	}
-	if lg := s.ledgerRef(); lg != nil {
-		e := encodeOp(o)
-		_, err := lg.Append(e.Bytes())
-		e.Release()
-		if err != nil {
-			return fmt.Errorf("accounting: %w", err)
-		}
+	e := encodeOp(o)
+	err := s.log.Commit(e.Bytes())
+	e.Release()
+	if err != nil {
+		return err
 	}
 	return s.applyOp(o)
-}
-
-// ledgerRef fetches the attached ledger under cfgMu.
-func (s *Server) ledgerRef() *ledger.Ledger {
-	s.cfgMu.Lock()
-	defer s.cfgMu.Unlock()
-	return s.ledger
 }
 
 // applyOp mutates in-memory state for one op. It is the single
@@ -298,21 +283,58 @@ type snapState struct {
 	AcceptOnce []replay.Entry `json:"acceptOnce,omitempty"`
 }
 
-// SnapshotState captures the full server state (accounts, balances,
-// uncollected funds, holds, statement tails, accept-once entries) as a
-// deterministic JSON document, plus the WAL sequence number the capture
-// covers. Commits hold their accounts' stripes across append+apply, so
-// with every stripe held here no commit is mid-flight: the captured
-// state and the ledger's LastSeq agree.
-func (s *Server) SnapshotState() ([]byte, uint64, error) {
-	unlock := s.lockAll()
+// machine is the bank as its durable.Host drives it. Its locks are the
+// account stripes: a record's append and apply happen under the
+// stripes of the accounts it touches, and a capture runs under every
+// stripe, so the captured state and its WAL position agree.
+type machine struct{ *Server }
+
+// Apply decodes one WAL record, and under the stripes of the accounts
+// it touches runs log and then applyOp.
+func (m machine) Apply(record []byte, log func() error) error {
+	o, err := decodeOp(record)
+	if err != nil {
+		return err
+	}
+	unlock := m.lockOpAccounts(o)
 	defer unlock()
-	s.acctMu.RLock()
-	defer s.acctMu.RUnlock()
-	st := snapState{AcceptOnce: s.registry.Export()}
-	names := s.sortedNamesLocked()
-	for _, name := range names {
-		a := s.accounts[name]
+	if err := log(); err != nil {
+		return err
+	}
+	return m.applyOp(o)
+}
+
+// lockOpAccounts write-locks the stripes of every account the op
+// mutates, mirroring the live commit paths so whole-bank captures never
+// observe a half-applied record.
+func (s *Server) lockOpAccounts(o *op) (unlock func()) {
+	a, b := o.acct, o.to
+	switch {
+	case a != "" && b != "":
+		return s.lockPair(a, b)
+	case a != "":
+		return s.lockAccount(a)
+	case b != "":
+		return s.lockAccount(b)
+	default:
+		return func() {}
+	}
+}
+
+// Capture serializes the full server state (accounts, balances,
+// uncollected funds, holds, statement tails, accept-once entries) as a
+// deterministic JSON document. Commits hold their accounts' stripes
+// across append+apply, so with every stripe held here no commit is
+// mid-flight when mark reads the WAL position.
+func (m machine) Capture(mark func()) ([]byte, error) {
+	unlock := m.lockAll()
+	defer unlock()
+	m.acctMu.RLock()
+	defer m.acctMu.RUnlock()
+	mark()
+	st := snapState{AcceptOnce: m.registry.Export()}
+	for _, name := range m.sortedNamesLocked() {
+		a := m.accounts[name]
 		sa := snapAccount{
 			Name:        name,
 			Balances:    a.balances,
@@ -343,160 +365,85 @@ func (s *Server) SnapshotState() ([]byte, uint64, error) {
 		}
 		st.Accounts = append(st.Accounts, sa)
 	}
-	raw, err := json.Marshal(st)
-	if err != nil {
-		return nil, 0, fmt.Errorf("accounting: snapshot: %w", err)
-	}
-	var seq uint64
-	if lg := s.ledgerRef(); lg != nil {
-		seq = lg.LastSeq()
-	}
-	return raw, seq, nil
+	return json.Marshal(st)
 }
 
-// restoreState rebuilds in-memory state from a snapshot document.
-// Called from OpenLedger before the server takes traffic.
-func (s *Server) restoreState(raw []byte) error {
+// Restore decodes a snapshot document into a fresh accounts map, then,
+// holding createMu and every stripe exclusively — no read may observe
+// the swap half-done — runs install and swaps the accounts and the
+// accept-once registry in.
+func (m machine) Restore(raw []byte, install func() error) error {
 	var st snapState
 	if err := json.Unmarshal(raw, &st); err != nil {
-		return fmt.Errorf("accounting: restore snapshot: %w", err)
+		return err
 	}
-	s.acctMu.Lock()
-	defer s.acctMu.Unlock()
+	accounts := make(map[string]*account, len(st.Accounts))
 	for _, sa := range st.Accounts {
-		entries := make([]acl.Entry, 0, len(sa.ACL))
-		for _, se := range sa.ACL {
-			e := acl.Entry{Ops: se.Ops}
-			for _, p := range se.Principals {
-				id, err := principal.Parse(p)
-				if err != nil {
-					return fmt.Errorf("accounting: restore ACL principal %q: %w", p, err)
-				}
-				e.Subject.Principals = append(e.Subject.Principals, id)
-			}
-			for _, g := range se.Groups {
-				gl, err := principal.ParseGlobal(g)
-				if err != nil {
-					return fmt.Errorf("accounting: restore ACL group %q: %w", g, err)
-				}
-				e.Subject.Groups = append(e.Subject.Groups, gl)
-			}
-			if len(se.Restrictions) > 0 {
-				rs, err := restrict.Unmarshal(se.Restrictions)
-				if err != nil {
-					return fmt.Errorf("accounting: restore ACL restrictions: %w", err)
-				}
-				e.Restrictions = rs
-			}
-			entries = append(entries, e)
+		a, err := restoreAccount(sa)
+		if err != nil {
+			return err
 		}
-		a := &account{
-			name:        sa.Name,
-			acl:         acl.New(entries...),
-			balances:    sa.Balances,
-			uncollected: sa.Uncollected,
-			holds:       make(map[string]*hold),
-			history:     sa.History,
-		}
-		if a.balances == nil {
-			a.balances = make(map[string]int64)
-		}
-		if a.uncollected == nil {
-			a.uncollected = make(map[string]int64)
-		}
-		for _, h := range sa.Holds {
-			a.holds[h.Number] = &hold{currency: h.Currency, amount: h.Amount, expires: h.Expires}
-		}
-		s.accounts[sa.Name] = a
+		accounts[sa.Name] = a
 	}
-	s.registry.Restore(st.AcceptOnce)
+	m.createMu.Lock()
+	defer m.createMu.Unlock()
+	unlock := m.lockAllExclusive()
+	defer unlock()
+	if err := install(); err != nil {
+		return err
+	}
+	m.acctMu.Lock()
+	m.accounts = accounts
+	m.acctMu.Unlock()
+	m.registry.Clear()
+	m.registry.Restore(st.AcceptOnce)
 	return nil
 }
 
-// ---- ledger lifecycle ----
-
-// OpenLedger attaches a durable ledger to a freshly constructed server,
-// restoring any recovered snapshot and replaying the WAL tail. It must
-// be called before any accounts exist; provisioning after recovery
-// should tolerate ErrAccountExists (the account came back from disk).
-func (s *Server) OpenLedger(o ledger.Options) (*ledger.Recovery, error) {
-	lg, rec, err := ledger.Open(o)
-	if err != nil {
-		return nil, err
-	}
-	if s.ledgerRef() != nil {
-		lg.Close()
-		return nil, errors.New("accounting: ledger already open")
-	}
-	s.acctMu.RLock()
-	n := len(s.accounts)
-	s.acctMu.RUnlock()
-	if n != 0 {
-		lg.Close()
-		return nil, errors.New("accounting: OpenLedger requires a server with no accounts yet")
-	}
-	if rec.Snapshot != nil {
-		if err := s.restoreState(rec.Snapshot); err != nil {
-			lg.Close()
-			return nil, err
+// restoreAccount rebuilds one account from its snapshot form.
+func restoreAccount(sa snapAccount) (*account, error) {
+	entries := make([]acl.Entry, 0, len(sa.ACL))
+	for _, se := range sa.ACL {
+		e := acl.Entry{Ops: se.Ops}
+		for _, p := range se.Principals {
+			id, err := principal.Parse(p)
+			if err != nil {
+				return nil, fmt.Errorf("restore ACL principal %q: %w", p, err)
+			}
+			e.Subject.Principals = append(e.Subject.Principals, id)
 		}
-	}
-	for _, e := range rec.Entries {
-		o, err := decodeOp(e.Data)
-		if err != nil {
-			lg.Close()
-			return nil, fmt.Errorf("accounting: WAL record %d: %w", e.Seq, err)
+		for _, g := range se.Groups {
+			gl, err := principal.ParseGlobal(g)
+			if err != nil {
+				return nil, fmt.Errorf("restore ACL group %q: %w", g, err)
+			}
+			e.Subject.Groups = append(e.Subject.Groups, gl)
 		}
-		if err := s.applyOp(o); err != nil {
-			lg.Close()
-			return nil, fmt.Errorf("accounting: replay record %d: %w", e.Seq, err)
+		if len(se.Restrictions) > 0 {
+			rs, err := restrict.Unmarshal(se.Restrictions)
+			if err != nil {
+				return nil, fmt.Errorf("restore ACL restrictions: %w", err)
+			}
+			e.Restrictions = rs
 		}
+		entries = append(entries, e)
 	}
-	s.cfgMu.Lock()
-	s.ledger = lg
-	s.cfgMu.Unlock()
-	return rec, nil
-}
-
-// Ledger returns the attached ledger, nil when the server is in-memory
-// only.
-func (s *Server) Ledger() *ledger.Ledger {
-	return s.ledgerRef()
-}
-
-// SnapshotNow captures the current state and commits it as a snapshot,
-// truncating the WAL when nothing raced past the capture.
-func (s *Server) SnapshotNow() error {
-	state, seq, err := s.SnapshotState()
-	if err != nil {
-		return err
+	a := &account{
+		name:        sa.Name,
+		acl:         acl.New(entries...),
+		balances:    sa.Balances,
+		uncollected: sa.Uncollected,
+		holds:       make(map[string]*hold),
+		history:     sa.History,
 	}
-	lg := s.Ledger()
-	if lg == nil {
-		return errors.New("accounting: no ledger attached")
+	if a.balances == nil {
+		a.balances = make(map[string]int64)
 	}
-	return lg.WriteSnapshot(state, seq)
-}
-
-// StartSnapshotter runs SnapshotNow every interval while new WAL
-// records exist. The returned stop function halts it and waits.
-func (s *Server) StartSnapshotter(interval time.Duration) (stop func()) {
-	lg := s.Ledger()
-	if lg == nil {
-		return func() {}
+	if a.uncollected == nil {
+		a.uncollected = make(map[string]int64)
 	}
-	return lg.StartSnapshotter(interval, s.SnapshotNow)
-}
-
-// CloseLedger flushes and closes the attached ledger; the server keeps
-// serving from memory afterwards.
-func (s *Server) CloseLedger() error {
-	s.cfgMu.Lock()
-	lg := s.ledger
-	s.ledger = nil
-	s.cfgMu.Unlock()
-	if lg == nil {
-		return nil
+	for _, h := range sa.Holds {
+		a.holds[h.Number] = &hold{currency: h.Currency, amount: h.Amount, expires: h.Expires}
 	}
-	return lg.Close()
+	return a, nil
 }

@@ -53,6 +53,29 @@ func (s Subject) String() string {
 	return strings.Join(parts, "+")
 }
 
+// ParseSubject builds a subject from its textual principals (all
+// required concurrently) and global group names.
+func ParseSubject(principals, groups []string) (Subject, error) {
+	var sub Subject
+	ids := make([]principal.ID, 0, len(principals))
+	for _, p := range principals {
+		id, err := principal.Parse(p)
+		if err != nil {
+			return sub, err
+		}
+		ids = append(ids, id)
+	}
+	sub.Principals = principal.NewCompound(ids...)
+	for _, g := range groups {
+		gl, err := principal.ParseGlobal(g)
+		if err != nil {
+			return sub, err
+		}
+		sub.Groups = append(sub.Groups, gl)
+	}
+	return sub, nil
+}
+
 // matches reports whether the presented identities and verified groups
 // satisfy the subject.
 func (s Subject) matches(identities []principal.ID, groups map[principal.Global]bool) bool {

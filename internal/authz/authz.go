@@ -22,7 +22,7 @@ import (
 	"proxykit/internal/acl"
 	"proxykit/internal/audit"
 	"proxykit/internal/clock"
-	"proxykit/internal/ledger"
+	"proxykit/internal/durable"
 	"proxykit/internal/obs"
 	"proxykit/internal/principal"
 	"proxykit/internal/proxy"
@@ -64,8 +64,11 @@ type Server struct {
 	mu      sync.RWMutex
 	rules   []Rule
 	journal *audit.Journal
-	ledger  *ledger.Ledger
-	gate    func() error // commit gate; non-nil refusal blocks mutations
+
+	// Host is the database's durability: ledger, commit gate, snapshots
+	// and the replication hooks. log is its commit path (persist.go).
+	*durable.Host
+	log durable.Log
 }
 
 // SetJournal attaches an audit journal; every Grant decision is sealed
@@ -81,7 +84,9 @@ func New(identity *pubkey.Identity, clk clock.Clock) *Server {
 	if clk == nil {
 		clk = clock.System{}
 	}
-	return &Server{ID: identity.ID, identity: identity, clk: clk}
+	s := &Server{ID: identity.ID, identity: identity, clk: clk}
+	s.Host, s.log = durable.New("authz", machine{s})
+	return s
 }
 
 // AddRule appends a rule to the database. With a ledger attached the

@@ -7,11 +7,8 @@ package authz
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
-	"time"
 
-	"proxykit/internal/ledger"
 	"proxykit/internal/principal"
 	"proxykit/internal/restrict"
 )
@@ -30,7 +27,7 @@ type snapState struct {
 	Rules []snapRule `json:"rules"`
 }
 
-func encodeRule(r Rule) (snapRule, error) {
+func encodeRule(r Rule) snapRule {
 	sr := snapRule{
 		EndServer: r.EndServer.String(),
 		Object:    r.Object,
@@ -45,174 +42,111 @@ func encodeRule(r Rule) (snapRule, error) {
 	if len(r.Restrictions) > 0 {
 		sr.Restrictions = r.Restrictions.Marshal()
 	}
-	return sr, nil
+	return sr
 }
 
 func decodeRule(sr snapRule) (Rule, error) {
 	end, err := principal.Parse(sr.EndServer)
 	if err != nil {
-		return Rule{}, fmt.Errorf("authz: restore end-server %q: %w", sr.EndServer, err)
+		return Rule{}, fmt.Errorf("restore end-server %q: %w", sr.EndServer, err)
 	}
 	r := Rule{EndServer: end, Object: sr.Object, Ops: sr.Ops}
 	for _, ps := range sr.Principals {
 		p, err := principal.Parse(ps)
 		if err != nil {
-			return Rule{}, fmt.Errorf("authz: restore principal %q: %w", ps, err)
+			return Rule{}, fmt.Errorf("restore principal %q: %w", ps, err)
 		}
 		r.Subject.Principals = append(r.Subject.Principals, p)
 	}
 	for _, gs := range sr.Groups {
 		g, err := principal.ParseGlobal(gs)
 		if err != nil {
-			return Rule{}, fmt.Errorf("authz: restore group %q: %w", gs, err)
+			return Rule{}, fmt.Errorf("restore group %q: %w", gs, err)
 		}
 		r.Subject.Groups = append(r.Subject.Groups, g)
 	}
 	if len(sr.Restrictions) > 0 {
 		rs, err := restrict.Unmarshal(sr.Restrictions)
 		if err != nil {
-			return Rule{}, fmt.Errorf("authz: restore restrictions: %w", err)
+			return Rule{}, fmt.Errorf("restore restrictions: %w", err)
 		}
 		r.Restrictions = rs
 	}
 	return r, nil
 }
 
-// commitLocked appends the rule record and applies it; callers hold the
-// write lock. An append failure skips the mutation (the ledger fails
-// closed).
+// commitLocked commits the rule record through the host's log and
+// applies it; callers hold the write lock. A refused or failed append
+// skips the mutation (the ledger fails closed).
 func (s *Server) commitLocked(r Rule) error {
-	if s.gate != nil {
-		if err := s.gate(); err != nil {
-			return err
-		}
+	raw, err := json.Marshal(encodeRule(r))
+	if err != nil {
+		return err
 	}
-	if s.ledger != nil {
-		sr, err := encodeRule(r)
-		if err != nil {
-			return err
-		}
-		raw, err := json.Marshal(sr)
-		if err != nil {
-			return err
-		}
-		if _, err := s.ledger.Append(raw); err != nil {
-			return fmt.Errorf("authz: %w", err)
-		}
+	if err := s.log.Commit(raw); err != nil {
+		return err
 	}
 	s.rules = append(s.rules, r)
 	return nil
 }
 
-// SnapshotState captures the full rule database and the WAL sequence
-// the capture covers.
-func (s *Server) SnapshotState() ([]byte, uint64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := snapState{}
-	for _, r := range s.rules {
-		sr, err := encodeRule(r)
-		if err != nil {
-			return nil, 0, err
-		}
-		st.Rules = append(st.Rules, sr)
-	}
-	raw, err := json.Marshal(st)
-	if err != nil {
-		return nil, 0, err
-	}
-	var seq uint64
-	if s.ledger != nil {
-		seq = s.ledger.LastSeq()
-	}
-	return raw, seq, nil
-}
+// machine is the rule database as its durable.Host drives it; s.mu is
+// its one lock.
+type machine struct{ *Server }
 
-// OpenLedger attaches a durable ledger to a fresh server, restoring any
-// snapshot and replaying the WAL tail.
-func (s *Server) OpenLedger(o ledger.Options) (*ledger.Recovery, error) {
-	lg, rec, err := ledger.Open(o)
-	if err != nil {
-		return nil, err
+// Apply decodes one WAL record and, under the write lock, runs log and
+// then appends the rule.
+func (m machine) Apply(record []byte, log func() error) error {
+	var sr snapRule
+	if err := json.Unmarshal(record, &sr); err != nil {
+		return err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ledger != nil {
-		lg.Close()
-		return nil, errors.New("authz: ledger already open")
-	}
-	if len(s.rules) != 0 {
-		lg.Close()
-		return nil, errors.New("authz: OpenLedger requires a server with no rules yet")
-	}
-	if rec.Snapshot != nil {
-		var st snapState
-		if err := json.Unmarshal(rec.Snapshot, &st); err != nil {
-			lg.Close()
-			return nil, fmt.Errorf("authz: restore snapshot: %w", err)
-		}
-		for _, sr := range st.Rules {
-			r, err := decodeRule(sr)
-			if err != nil {
-				lg.Close()
-				return nil, err
-			}
-			s.rules = append(s.rules, r)
-		}
-	}
-	for _, e := range rec.Entries {
-		var sr snapRule
-		if err := json.Unmarshal(e.Data, &sr); err != nil {
-			lg.Close()
-			return nil, fmt.Errorf("authz: WAL record %d: %w", e.Seq, err)
-		}
-		r, err := decodeRule(sr)
-		if err != nil {
-			lg.Close()
-			return nil, fmt.Errorf("authz: replay record %d: %w", e.Seq, err)
-		}
-		s.rules = append(s.rules, r)
-	}
-	s.ledger = lg
-	return rec, nil
-}
-
-// SnapshotNow captures the current database and commits it as a
-// snapshot.
-func (s *Server) SnapshotNow() error {
-	state, seq, err := s.SnapshotState()
+	r, err := decodeRule(sr)
 	if err != nil {
 		return err
 	}
-	s.mu.RLock()
-	lg := s.ledger
-	s.mu.RUnlock()
-	if lg == nil {
-		return errors.New("authz: no ledger attached")
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if err := log(); err != nil {
+		return err
 	}
-	return lg.WriteSnapshot(state, seq)
+	m.rules = append(m.rules, r)
+	return nil
 }
 
-// StartSnapshotter runs SnapshotNow every interval while new WAL
-// records exist; the returned stop function halts it.
-func (s *Server) StartSnapshotter(interval time.Duration) (stop func()) {
-	s.mu.RLock()
-	lg := s.ledger
-	s.mu.RUnlock()
-	if lg == nil {
-		return func() {}
+// Capture serializes the full rule database, running mark under the
+// lock.
+func (m machine) Capture(mark func()) ([]byte, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	mark()
+	st := snapState{}
+	for _, r := range m.rules {
+		st.Rules = append(st.Rules, encodeRule(r))
 	}
-	return lg.StartSnapshotter(interval, s.SnapshotNow)
+	return json.Marshal(st)
 }
 
-// CloseLedger flushes and closes the attached ledger.
-func (s *Server) CloseLedger() error {
-	s.mu.Lock()
-	lg := s.ledger
-	s.ledger = nil
-	s.mu.Unlock()
-	if lg == nil {
-		return nil
+// Restore decodes a snapshot document into a fresh rule list, then
+// under the write lock runs install and swaps it in.
+func (m machine) Restore(raw []byte, install func() error) error {
+	var st snapState
+	if err := json.Unmarshal(raw, &st); err != nil {
+		return err
 	}
-	return lg.Close()
+	rules := make([]Rule, 0, len(st.Rules))
+	for _, sr := range st.Rules {
+		r, err := decodeRule(sr)
+		if err != nil {
+			return err
+		}
+		rules = append(rules, r)
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if err := install(); err != nil {
+		return err
+	}
+	m.rules = rules
+	return nil
 }

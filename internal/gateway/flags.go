@@ -4,18 +4,17 @@ import (
 	"flag"
 	"time"
 
-	"proxykit/internal/logging"
-	"proxykit/internal/obs"
+	"proxykit/internal/daemon"
 )
 
 // DaemonOptions are gatewayd's command-line settings. They live here —
 // not in cmd/gatewayd — so TestGatewayDocCatalogue can enumerate the
-// registered flags and hold GATEWAY.md to them.
+// registered flags and hold GATEWAY.md to them. The embedded Common
+// settings feed the shared daemon prologue; gatewayd registers them
+// with its own defaults and wording, since it serves HTTP, not RPC.
 type DaemonOptions struct {
-	State   string
-	Name    string
-	Realm   string
-	Listen  string
+	daemon.Common
+
 	Mapping string
 
 	AuthzAddr   string
@@ -25,19 +24,12 @@ type DaemonOptions struct {
 	EndServerID string
 	BankID      string
 
-	MetricsAddr string
-	AuditFile   string
-	FaultSpec   string
-	FaultSeed   int64
-	RPCPool     int
+	RPCPool int
 
 	ProxyLifetime time.Duration
 	RenewWithin   time.Duration
 	RenewInterval time.Duration
 	DialTimeout   time.Duration
-
-	Log   logging.Options
-	Trace obs.TraceOptions
 }
 
 // RegisterFlags registers every gatewayd flag on fs, mirroring the

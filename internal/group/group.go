@@ -19,7 +19,7 @@ import (
 
 	"proxykit/internal/audit"
 	"proxykit/internal/clock"
-	"proxykit/internal/ledger"
+	"proxykit/internal/durable"
 	"proxykit/internal/obs"
 	"proxykit/internal/principal"
 	"proxykit/internal/proxy"
@@ -51,8 +51,11 @@ type Server struct {
 	mu      sync.RWMutex
 	groups  map[string]*members
 	journal *audit.Journal
-	ledger  *ledger.Ledger
-	gate    func() error // commit gate; non-nil refusal blocks mutations
+
+	// Host is the database's durability: ledger, commit gate, snapshots
+	// and the replication hooks. log is its commit path (persist.go).
+	*durable.Host
+	log durable.Log
 }
 
 // SetJournal attaches an audit journal; every Grant decision is sealed
@@ -68,12 +71,14 @@ func New(identity *pubkey.Identity, clk clock.Clock) *Server {
 	if clk == nil {
 		clk = clock.System{}
 	}
-	return &Server{
+	s := &Server{
 		ID:       identity.ID,
 		identity: identity,
 		clk:      clk,
 		groups:   make(map[string]*members),
 	}
+	s.Host, s.log = durable.New("group", machine{s})
+	return s
 }
 
 // Global returns the global name of a local group.

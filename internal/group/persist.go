@@ -7,12 +7,9 @@ package group
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"sort"
-	"time"
 
-	"proxykit/internal/ledger"
 	"proxykit/internal/principal"
 )
 
@@ -31,24 +28,17 @@ const (
 	gopRemoveMember = "remove-member"
 )
 
-// commitLocked appends the op and applies it; callers hold the write
-// lock. With no ledger attached the apply is immediate. An append
-// failure skips the mutation — the ledger fails closed, and a change
-// that is not durable must not become visible.
+// commitLocked commits the op through the host's log and applies it;
+// callers hold the write lock. A refused or failed append skips the
+// mutation — the ledger fails closed, and a change that is not durable
+// must not become visible.
 func (s *Server) commitLocked(o *groupOp) error {
-	if s.gate != nil {
-		if err := s.gate(); err != nil {
-			return err
-		}
+	raw, err := json.Marshal(o)
+	if err != nil {
+		return err
 	}
-	if s.ledger != nil {
-		raw, err := json.Marshal(o)
-		if err != nil {
-			return err
-		}
-		if _, err := s.ledger.Append(raw); err != nil {
-			return fmt.Errorf("group: %w", err)
-		}
+	if err := s.log.Commit(raw); err != nil {
+		return err
 	}
 	return s.applyLocked(o)
 }
@@ -106,19 +96,38 @@ type snapState struct {
 	Groups []snapGroup `json:"groups"`
 }
 
-// SnapshotState captures the full database and the WAL sequence the
-// capture covers.
-func (s *Server) SnapshotState() ([]byte, uint64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// machine is the group database as its durable.Host drives it; s.mu
+// is its one lock.
+type machine struct{ *Server }
+
+// Apply decodes one WAL record and, under the write lock, runs log and
+// then applyLocked.
+func (m machine) Apply(record []byte, log func() error) error {
+	var o groupOp
+	if err := json.Unmarshal(record, &o); err != nil {
+		return err
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if err := log(); err != nil {
+		return err
+	}
+	return m.applyLocked(&o)
+}
+
+// Capture serializes the full database, running mark under the lock.
+func (m machine) Capture(mark func()) ([]byte, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	mark()
 	st := snapState{}
-	names := make([]string, 0, len(s.groups))
-	for name := range s.groups {
+	names := make([]string, 0, len(m.groups))
+	for name := range m.groups {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		g := s.groups[name]
+		g := m.groups[name]
 		sg := snapGroup{Name: name}
 		for p := range g.principals {
 			sg.Principals = append(sg.Principals, p.String())
@@ -129,118 +138,40 @@ func (s *Server) SnapshotState() ([]byte, uint64, error) {
 		}
 		st.Groups = append(st.Groups, sg)
 	}
-	raw, err := json.Marshal(st)
-	if err != nil {
-		return nil, 0, err
-	}
-	var seq uint64
-	if s.ledger != nil {
-		seq = s.ledger.LastSeq()
-	}
-	return raw, seq, nil
+	return json.Marshal(st)
 }
 
-// restoreLocked rebuilds the database from a snapshot document.
-func (s *Server) restoreLocked(raw []byte) error {
+// Restore decodes a snapshot document into a fresh database, then under
+// the write lock runs install and swaps it in.
+func (m machine) Restore(raw []byte, install func() error) error {
 	var st snapState
 	if err := json.Unmarshal(raw, &st); err != nil {
-		return fmt.Errorf("group: restore snapshot: %w", err)
+		return err
 	}
+	groups := make(map[string]*members, len(st.Groups))
 	for _, sg := range st.Groups {
 		g := &members{principals: principal.NewSet()}
 		for _, ps := range sg.Principals {
 			p, err := principal.Parse(ps)
 			if err != nil {
-				return fmt.Errorf("group: restore principal %q: %w", ps, err)
+				return fmt.Errorf("restore principal %q: %w", ps, err)
 			}
 			g.principals.Add(p)
 		}
 		for _, ns := range sg.Nested {
 			sub, err := principal.ParseGlobal(ns)
 			if err != nil {
-				return fmt.Errorf("group: restore nested %q: %w", ns, err)
+				return fmt.Errorf("restore nested %q: %w", ns, err)
 			}
 			g.nested = append(g.nested, sub)
 		}
-		s.groups[sg.Name] = g
+		groups[sg.Name] = g
 	}
-	return nil
-}
-
-// OpenLedger attaches a durable ledger to a fresh server, restoring any
-// snapshot and replaying the WAL tail.
-func (s *Server) OpenLedger(o ledger.Options) (*ledger.Recovery, error) {
-	lg, rec, err := ledger.Open(o)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ledger != nil {
-		lg.Close()
-		return nil, errors.New("group: ledger already open")
-	}
-	if len(s.groups) != 0 {
-		lg.Close()
-		return nil, errors.New("group: OpenLedger requires a server with no groups yet")
-	}
-	if rec.Snapshot != nil {
-		if err := s.restoreLocked(rec.Snapshot); err != nil {
-			lg.Close()
-			return nil, err
-		}
-	}
-	for _, e := range rec.Entries {
-		var o groupOp
-		if err := json.Unmarshal(e.Data, &o); err != nil {
-			lg.Close()
-			return nil, fmt.Errorf("group: WAL record %d: %w", e.Seq, err)
-		}
-		if err := s.applyLocked(&o); err != nil {
-			lg.Close()
-			return nil, fmt.Errorf("group: replay record %d: %w", e.Seq, err)
-		}
-	}
-	s.ledger = lg
-	return rec, nil
-}
-
-// SnapshotNow captures the current database and commits it as a
-// snapshot.
-func (s *Server) SnapshotNow() error {
-	state, seq, err := s.SnapshotState()
-	if err != nil {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if err := install(); err != nil {
 		return err
 	}
-	s.mu.RLock()
-	lg := s.ledger
-	s.mu.RUnlock()
-	if lg == nil {
-		return errors.New("group: no ledger attached")
-	}
-	return lg.WriteSnapshot(state, seq)
-}
-
-// StartSnapshotter runs SnapshotNow every interval while new WAL
-// records exist; the returned stop function halts it.
-func (s *Server) StartSnapshotter(interval time.Duration) (stop func()) {
-	s.mu.RLock()
-	lg := s.ledger
-	s.mu.RUnlock()
-	if lg == nil {
-		return func() {}
-	}
-	return lg.StartSnapshotter(interval, s.SnapshotNow)
-}
-
-// CloseLedger flushes and closes the attached ledger.
-func (s *Server) CloseLedger() error {
-	s.mu.Lock()
-	lg := s.ledger
-	s.ledger = nil
-	s.mu.Unlock()
-	if lg == nil {
-		return nil
-	}
-	return lg.Close()
+	m.groups = groups
+	return nil
 }

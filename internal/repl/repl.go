@@ -102,7 +102,8 @@ func IsFenced(err error) bool {
 }
 
 // StateMachine is the ledger-backed server being replicated. The
-// accounting, group, and authz servers all satisfy it.
+// durable.Host that the accounting, group, and authz servers embed
+// implements it, so all three servers satisfy it.
 type StateMachine interface {
 	// Ledger returns the attached ledger (the WAL being shipped).
 	Ledger() *ledger.Ledger
